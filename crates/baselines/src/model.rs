@@ -23,8 +23,8 @@ pub struct MfModel {
     /// Optional rating-scale clamp applied to predictions.
     pub clip: Option<(f64, f64)>,
     /// Transposed movie factors in the GEMM's cache-blocked packed layout
-    /// (`bpmf_linalg::PackedB`), built on the first micro-batch scoring
-    /// call — the `B` operand behind `Recommender::score_block`. Built
+    /// (`bpmf_linalg::PackedB`), built on the first scoring call — the `B`
+    /// operand behind `Recommender::score_block_range`. Built
     /// lazily from `movie_factors`; code that mutates `movie_factors`
     /// after a scoring call must call [`MfModel::invalidate_packed_cache`]
     /// or block scores will keep serving the stale factors.
@@ -62,10 +62,10 @@ impl MfModel {
     /// The fields of this model are public for the baseline trainers'
     /// convenience; anything that mutates `movie_factors` after a scoring
     /// call (another ALS sweep, a hot factor swap) must call this, or
-    /// `score_block` — and everything on it, like
-    /// `RecommendService::recommend_batch` — will keep scoring against
-    /// the factors as they were when the cache was built, silently
-    /// diverging from `predict`/`score_all`.
+    /// `score_block_range` — and everything on it, like
+    /// `RecommendService::top_n` — will keep scoring against the factors
+    /// as they were when the cache was built, silently diverging from
+    /// `predict`.
     pub fn invalidate_packed_cache(&mut self) {
         self.movie_factors_packed = std::sync::OnceLock::new();
     }

@@ -86,16 +86,6 @@ impl Recommender for MfModel {
         Some((&self.user_factors, &self.movie_factors))
     }
 
-    /// Whole-catalogue scan as one blocked matrix–vector product, with the
-    /// bias/clamp epilogue applied per item — the serving fast path behind
-    /// `bpmf::serve::RecommendService` and the offline ranking evaluation.
-    fn score_all(&self, user: usize, scores: &mut [f64]) {
-        assert_eq!(scores.len(), self.movie_factors.rows(), "score buffer size");
-        self.movie_factors
-            .matvec_into(self.user_factors.row(user), scores);
-        finish_mf_scores(self, user, scores, |i| i);
-    }
-
     /// Candidate-set scoring via the gathered four-row kernel.
     fn score_batch(&self, user: usize, items: &[u32], out: &mut [f64]) {
         self.movie_factors
@@ -103,46 +93,18 @@ impl Recommender for MfModel {
         finish_mf_scores(self, user, out, |i| items[i] as usize);
     }
 
-    /// Micro-batch scoring as one register-tiled GEMM: the gathered user
-    /// rows (`B × K`) times the transposed movie factors (cached in the
-    /// GEMM's packed layout) stream the catalogue once for the whole
-    /// block, then the bias/clamp epilogue runs per score row.
-    fn score_block(&self, users: &[u32], out: &mut [f64]) {
-        let n = self.movie_factors.rows();
-        assert_eq!(out.len(), users.len() * n, "score_block buffer mismatch");
-        if n == 0 {
-            return;
-        }
-        bpmf_linalg::gemm_gathered_rows_packed(
-            &self.user_factors,
-            users,
-            self.movie_factors_packed(),
-            out,
-        );
-        for (&u, row) in users.iter().zip(out.chunks_exact_mut(n)) {
-            finish_mf_scores(self, u as usize, row, |i| i);
-        }
-    }
-
-    /// Sharded micro-batch scoring: the same GEMM against a range-packed
-    /// slice of the movie factors, with the bias/clamp epilogue indexed by
-    /// the *global* item id. Point models have no persistent shard cache —
-    /// the slice is packed per call (sharding primarily serves the Gibbs
-    /// posterior; this keeps ALS/SGD correct behind the same facade).
+    /// One register-tiled GEMM: the gathered user rows (`B × K`) times a
+    /// column view of the packed movie factors
+    /// ([`MfModel::movie_factors_packed`]) stream `[lo, hi)` once for the
+    /// whole block, then the bias/clamp epilogue runs per score row,
+    /// indexed by the *global* item id.
     fn score_block_range(&self, users: &[u32], lo: usize, hi: usize, out: &mut [f64]) {
-        let n = self.movie_factors.rows();
-        assert!(lo <= hi && hi <= n, "item range [{lo}, {hi}) out of 0..{n}");
+        let packed = self.movie_factors_packed().columns(lo, hi);
+        bpmf_linalg::gemm_gathered_rows_packed(&self.user_factors, users, packed, out);
         let w = hi - lo;
-        assert_eq!(
-            out.len(),
-            users.len() * w,
-            "score_block_range buffer mismatch"
-        );
         if w == 0 {
             return;
         }
-        let packed = bpmf_linalg::PackedB::pack_transposed_range_from(&self.movie_factors, lo, hi);
-        bpmf_linalg::gemm_gathered_rows_packed(&self.user_factors, users, &packed, out);
         for (&u, row) in users.iter().zip(out.chunks_exact_mut(w)) {
             finish_mf_scores(self, u as usize, row, |i| lo + i);
         }
@@ -284,13 +246,6 @@ impl Trainer for AlsRecommenderTrainer {
             .clone()
             .map(|m| m as Arc<dyn Recommender + Send + Sync>)
     }
-
-    #[allow(deprecated)]
-    fn shared_recommender(&self) -> Option<&(dyn Recommender + Sync)> {
-        self.model
-            .as_deref()
-            .map(|m| m as &(dyn Recommender + Sync))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -393,13 +348,6 @@ impl Trainer for SgdRecommenderTrainer {
         self.model
             .clone()
             .map(|m| m as Arc<dyn Recommender + Send + Sync>)
-    }
-
-    #[allow(deprecated)]
-    fn shared_recommender(&self) -> Option<&(dyn Recommender + Sync)> {
-        self.model
-            .as_deref()
-            .map(|m| m as &(dyn Recommender + Sync))
     }
 }
 
@@ -512,13 +460,6 @@ impl Trainer for SgmcmcRecommenderTrainer {
         self.model
             .clone()
             .map(|m| m as Arc<dyn Recommender + Send + Sync>)
-    }
-
-    #[allow(deprecated)]
-    fn shared_recommender(&self) -> Option<&(dyn Recommender + Sync)> {
-        self.model
-            .as_deref()
-            .map(|m| m as &(dyn Recommender + Sync))
     }
 }
 

@@ -316,7 +316,8 @@ struct ServeSnapshot {
     /// Per-pair `Recommender::predict` through the trait object — the
     /// serving path `score_all` replaces.
     per_pair_scores_per_sec: f64,
-    /// Whole-catalogue `score_all` (blocked matvec kernel).
+    /// Whole-catalogue `score_all` (a one-row GEMM over the packed item
+    /// factors).
     batch_scores_per_sec: f64,
     /// `score_batch` over a strided candidate subset (gathered kernel).
     subset_scores_per_sec: f64,
@@ -329,7 +330,7 @@ struct ServeSnapshot {
     /// Whether the AVX2+FMA dispatch arm was live for this run.
     simd_enabled: bool,
     /// Micro-batch `score_block` throughput across block sizes, against
-    /// the looped per-user `score_all` scan (`batch_scores_per_sec`).
+    /// the looped per-user `score_all` (`batch_scores_per_sec`).
     gemm_block: Vec<BlockRow>,
     /// Headline: 64-user micro-batch vs looped `score_all` (acceptance
     /// floor: 2× at 4096×4096, k = 32).
@@ -385,8 +386,8 @@ fn synthetic_serving_world(n_users: usize, n_items: usize, k: usize) -> (Posteri
 /// Serving-throughput section: batch kernels vs the per-pair loop, plus
 /// filtered top-N latency through `RecommendService`.
 fn serve_section(smoke: bool, k: usize) -> ServeSnapshot {
-    // Full shape keeps the transposed factor panel (n_items × k doubles)
-    // L2-resident — the scan is compute-bound there; past L2 both the
+    // Full shape keeps the packed factor panel (n_items × k doubles)
+    // L2-resident — scoring is compute-bound there; past L2 both the
     // batch and per-pair paths degrade together into memory streaming.
     let (n_users, n_items) = if smoke { (256, 1024) } else { (4096, 4096) };
     let (model, train) = synthetic_serving_world(n_users, n_items, k);

@@ -164,16 +164,11 @@ fn multi_user_recommend_batches_and_matches_per_user_runs() {
         String::from_utf8_lossy(&output.stdout)
             .lines()
             .skip_while(|l| !l.starts_with("top-4"))
-            // Drop the printed scores: the batched path sums through the
-            // GEMM and the single-user path through the transposed scan,
-            // so a score landing exactly on a {:.4} rounding boundary
-            // could print differently; headers, ranks, and item ids must
-            // still agree exactly.
-            .map(|l| l.split("score").next().unwrap().trim_end().to_string())
+            .map(str::to_string)
             .collect::<Vec<String>>()
     };
 
-    // Three users: routed through `recommend_batch` (one score_block GEMM
+    // Three users: routed through `recommend_each` (one score_block GEMM
     // for the whole block). Must print the same lists, in request order,
     // as three independent single-user runs of the same training seed.
     let batched = run(&["1", "4", "2"]);

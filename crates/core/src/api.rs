@@ -51,7 +51,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use arc_swap::ArcSwap;
-use bpmf_linalg::{vecops, Cholesky, Mat};
+use bpmf_linalg::{vecops, Cholesky, Mat, PackedB};
 use bpmf_sched::ItemRunner;
 
 use crate::checkpoint::SamplerCheckpoint;
@@ -250,16 +250,6 @@ pub trait Trainer {
         self.shared_model()
             .map(|model| ModelHandle::new(model, epoch))
     }
-
-    /// The fitted model as a thread-shareable reference, for concurrent
-    /// serving.
-    #[deprecated(
-        note = "borrowed-for-life serving surface; use `Trainer::model_handle` \
-                (or `shared_model`) so serving can swap models live"
-    )]
-    fn shared_recommender(&self) -> Option<&(dyn Recommender + Sync)> {
-        None
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -414,19 +404,16 @@ pub trait Recommender {
     /// m)` for every `m` in `0..scores.len()`, written into the caller's
     /// buffer.
     ///
-    /// The default loops over [`Recommender::predict`]; factor models
-    /// override it with one blocked matrix–vector product
-    /// ([`bpmf_linalg::Mat::matvec_into`]) — the fast path behind
-    /// [`crate::serve::RecommendService`] and the offline ranking
-    /// evaluation.
+    /// Provided: one [`Recommender::score_block_range`] call for the single
+    /// user over `[0, scores.len())`, so a lone user gets exactly the bits a
+    /// micro-batch or a shard would give it.
     fn score_all(&self, user: usize, scores: &mut [f64]) {
-        for (m, s) in scores.iter_mut().enumerate() {
-            *s = self.predict(user, m);
-        }
+        self.score_block_range(&[user as u32], 0, scores.len(), scores);
     }
 
     /// Score `user` against an arbitrary candidate set: `out[i] =
-    /// predict(user, items[i])`, written into the caller's buffer.
+    /// predict(user, items[i])`, written into the caller's buffer — the
+    /// one scoring method that is not a range.
     ///
     /// The default loops over [`Recommender::predict`]; factor models
     /// override it with the gathered four-row kernel
@@ -442,43 +429,33 @@ pub trait Recommender {
     /// `out` — `out[i·N .. (i+1)·N]`, `N` the catalogue size — receives
     /// what [`Recommender::score_all`] would write for `users[i]`.
     ///
-    /// The default loops `score_all` per user. Factor models override it
-    /// with one register-tiled GEMM ([`bpmf_linalg::gemm_into`]) against
-    /// their cached transposed item factors, so a block of users pays a
-    /// single streaming pass over the catalogue instead of `users.len()`
-    /// per-user scans — the multi-user micro-batch serving path behind
-    /// [`crate::serve::RecommendService::recommend_batch`].
+    /// Provided: [`Recommender::score_block_range`] over `[0, N)` — the
+    /// micro-batch path behind [`crate::serve::RecommendService`], where a
+    /// factor model streams the catalogue once for the whole block.
     fn score_block(&self, users: &[u32], out: &mut [f64]) {
-        if users.is_empty() {
-            assert!(out.is_empty(), "score_block buffer mismatch");
-            return;
-        }
-        assert_eq!(out.len() % users.len(), 0, "score_block buffer mismatch");
-        let n = out.len() / users.len();
-        if let Some(items) = self.num_items() {
-            assert_eq!(n, items, "score_block buffer mismatch");
-        }
-        if n == 0 {
-            return;
-        }
-        for (&u, row) in users.iter().zip(out.chunks_exact_mut(n)) {
-            self.score_all(u as usize, row);
-        }
+        let n = match self.num_items() {
+            Some(n) => n,
+            None => out.len().checked_div(users.len()).unwrap_or(0),
+        };
+        self.score_block_range(users, 0, n, out);
     }
 
-    /// Score a block of users against the contiguous item range
-    /// `[lo, hi)`: row `i` of `out` (width `hi − lo`) receives what
-    /// [`Recommender::score_block`] would write for `users[i]` at columns
-    /// `lo..hi` — the sharded-serving path, where one process packs and
-    /// scores only its slice of the catalogue
-    /// ([`crate::serve::shard`]).
+    /// The scoring primitive: score a block of users against the
+    /// contiguous item range `[lo, hi)`. Row `i` of `out` (width
+    /// `hi − lo`) receives `predict(users[i], m)` for `m` in `lo..hi`.
+    /// [`Recommender::score_all`] and [`Recommender::score_block`] are
+    /// this call over the whole catalogue; a shard
+    /// ([`crate::serve::shard`]) makes it over its own range.
     ///
     /// The default loops over [`Recommender::predict`]. Factor models
-    /// override it with a range-packed GEMM
-    /// ([`bpmf_linalg::PackedB::pack_transposed_range_from`]) whose
-    /// per-item arithmetic is **bit-identical** to the full-catalogue
-    /// `score_block` whenever `lo` sits on a `GEMM_NC` block boundary —
-    /// the invariant the sharded router's byte-identity gate rests on.
+    /// implement it as one register-tiled GEMM against a
+    /// [`bpmf_linalg::PackedB::columns`] view of their single packed
+    /// item-factor buffer, so a range needs both ends on a `GEMM_NC`
+    /// block boundary or at the catalogue end (every range
+    /// [`crate::serve::shard::shard_ranges`] produces). Each score's bits
+    /// then depend only on the user and the item — not on the range, the
+    /// block size, or the entry point — which is what the offline ≡ daemon
+    /// ≡ router byte-identity gates rest on.
     fn score_block_range(&self, users: &[u32], lo: usize, hi: usize, out: &mut [f64]) {
         assert!(lo <= hi, "bad item range [{lo}, {hi})");
         let w = hi - lo;
@@ -502,25 +479,23 @@ pub trait Recommender {
     /// `false` — leaving the buffer unspecified — when the model carries
     /// no posterior.
     ///
-    /// The batch companion of [`Recommender::predict_with_uncertainty`]
-    /// for uncertainty-aware ranking (UCB/Thompson): the default loops
-    /// per pair and recomputes each mean only to discard it; the Gibbs
-    /// posterior overrides it with one std-only scan.
+    /// Provided: [`Recommender::uncertainty_range`] over
+    /// `[0, stds.len())`.
     fn uncertainty_all(&self, user: usize, stds: &mut [f64]) -> bool {
-        for (m, s) in stds.iter_mut().enumerate() {
-            match self.predict_with_uncertainty(user, m) {
-                Some(p) => *s = p.std,
-                None => return false,
-            }
-        }
-        true
+        self.uncertainty_range(user, 0, stds.len(), stds)
     }
 
-    /// [`Recommender::uncertainty_all`] restricted to the item range
-    /// `[lo, hi)` (`stds.len() == hi − lo`) — the sharded-serving
-    /// companion of [`Recommender::score_block_range`]. Same contract:
-    /// returns `false`, leaving the buffer unspecified, when the model
-    /// carries no posterior.
+    /// The uncertainty primitive, companion of
+    /// [`Recommender::score_block_range`]: posterior predictive standard
+    /// deviations for `user` over `[lo, hi)` (`stds.len() == hi − lo`),
+    /// for uncertainty-aware ranking (UCB/Thompson). Returns `false`,
+    /// leaving the buffer unspecified, when the model carries no
+    /// posterior.
+    ///
+    /// The default loops over [`Recommender::predict_with_uncertainty`];
+    /// the Gibbs posterior implements it as a std-only scan with the same
+    /// per-item arithmetic, so any range's stds are bit-identical to the
+    /// matching slice of the whole catalogue's.
     fn uncertainty_range(&self, user: usize, lo: usize, hi: usize, stds: &mut [f64]) -> bool {
         assert!(lo <= hi, "bad item range [{lo}, {hi})");
         assert_eq!(stds.len(), hi - lo, "uncertainty_range buffer mismatch");
@@ -633,19 +608,11 @@ pub struct PosteriorModel {
     global_mean: f64,
     rating_bounds: Option<(f64, f64)>,
     samples: usize,
-    /// Movie factors in transposed (`K × N`) layout, built on the first
-    /// whole-catalogue scan: the lane-parallel layout `score_all` needs to
-    /// vectorize without a floating-point reduction. (`OnceLock` clones
-    /// carry the cached value along.)
-    movie_means_t: std::sync::OnceLock<Mat>,
     /// Transposed movie factors in the GEMM's cache-blocked packed layout,
-    /// built on the first micro-batch scan (`score_block`).
-    movie_means_packed: std::sync::OnceLock<bpmf_linalg::PackedB>,
-    /// One range-packed slice of the movie factors, built on the first
-    /// `score_block_range` call and keyed by its `(lo, hi)` — a shard
-    /// process only ever serves one range, so one slot is a full cache
-    /// (other ranges fall back to packing per call).
-    movie_means_range_packed: std::sync::OnceLock<(usize, usize, bpmf_linalg::PackedB)>,
+    /// built on the first scoring call; every range, block, and fold-in
+    /// scores through a view of it. (`OnceLock` clones carry the cached
+    /// value along.)
+    movie_means_packed: std::sync::OnceLock<PackedB>,
     /// User-side Normal–Wishart state `(μ_U, Λ_U, α)` captured from the
     /// chain, enabling cold-start fold-in. Absent on models built from
     /// bare factor dumps.
@@ -683,9 +650,7 @@ impl PosteriorModel {
             global_mean: s.global_mean(),
             rating_bounds: s.cfg().rating_bounds,
             samples,
-            movie_means_t: std::sync::OnceLock::new(),
             movie_means_packed: std::sync::OnceLock::new(),
-            movie_means_range_packed: std::sync::OnceLock::new(),
             fold_in: Some(UserPrior {
                 mu: mu.to_vec(),
                 lambda: lambda.clone(),
@@ -721,9 +686,7 @@ impl PosteriorModel {
             global_mean,
             rating_bounds,
             samples,
-            movie_means_t: std::sync::OnceLock::new(),
             movie_means_packed: std::sync::OnceLock::new(),
-            movie_means_range_packed: std::sync::OnceLock::new(),
             fold_in: None,
         }
     }
@@ -849,6 +812,12 @@ impl PosteriorModel {
         }
     }
 
+    /// The movie factors in the GEMM's packed layout, packed on first use.
+    fn packed_movies(&self) -> &PackedB {
+        self.movie_means_packed
+            .get_or_init(|| PackedB::pack_transposed_from(&self.movie_means))
+    }
+
     /// Turn raw `u · v` dot products into served predictions in place:
     /// add the global mean, clamp to the rating bounds — the batch
     /// counterpart of what [`PosteriorModel::predict`] does per pair.
@@ -893,28 +862,6 @@ impl Recommender for PosteriorModel {
         })
     }
 
-    /// Std-only catalogue scan: the same per-coordinate arithmetic (and
-    /// order) as [`PosteriorModel::predict_with_uncertainty`], minus the
-    /// per-item mean recomputation that scan would throw away.
-    fn uncertainty_all(&self, user: usize, stds: &mut [f64]) -> bool {
-        let (Some(u2m), Some(v2m)) = (self.user_second.as_ref(), self.movie_second.as_ref()) else {
-            return false;
-        };
-        assert_eq!(stds.len(), self.movie_means.rows(), "std buffer size");
-        let u = self.user_means.row(user);
-        let u2 = u2m.row(user);
-        for (movie, s) in stds.iter_mut().enumerate() {
-            let v = self.movie_means.row(movie);
-            let v2 = v2m.row(movie);
-            let mut var = 0.0;
-            for k in 0..u.len() {
-                var += u2[k] * v2[k] - (u[k] * v[k]) * (u[k] * v[k]);
-            }
-            *s = var.max(0.0).sqrt();
-        }
-        true
-    }
-
     /// `None` when no post-burn-in samples were accumulated: the fallback
     /// factors are a single raw MCMC draw, which would masquerade as
     /// posterior means if exported.
@@ -931,19 +878,6 @@ impl Recommender for PosteriorModel {
         Some(self.movie_means.rows())
     }
 
-    /// One lane-parallel scan through the transposed movie factors
-    /// (`K × N`, built once on first use) instead of a `predict` call per
-    /// item — the layout lets the compiler vectorize the scan, where the
-    /// row-major dot products are reduction-bound.
-    fn score_all(&self, user: usize, scores: &mut [f64]) {
-        assert_eq!(scores.len(), self.movie_means.rows(), "score buffer size");
-        let vt = self
-            .movie_means_t
-            .get_or_init(|| self.movie_means.transposed());
-        vt.matvec_t_into(self.user_means.row(user), scores);
-        self.finish_scores(scores);
-    }
-
     /// Gathered four-row dot kernel over the candidate set.
     fn score_batch(&self, user: usize, items: &[u32], out: &mut [f64]) {
         self.movie_means
@@ -952,67 +886,26 @@ impl Recommender for PosteriorModel {
     }
 
     /// One register-tiled GEMM for the whole block: the gathered user rows
-    /// (`B × K`) times the transposed movie factors, cached in the GEMM's
-    /// packed layout ([`bpmf_linalg::PackedB`], built once), streamed over
-    /// the catalogue once for all `B` users
+    /// (`B × K`) times a [`PackedB::columns`] view of the packed movie
+    /// factors, streamed over `[lo, hi)` once for all `B` users
     /// ([`bpmf_linalg::gemm_packed_into`] — AVX2+FMA when available,
     /// column panels fanned out over the kernel pool). The per-pair
     /// epilogue (global mean, rating clamp) is applied to the whole block.
-    fn score_block(&self, users: &[u32], out: &mut [f64]) {
-        let n = self.movie_means.rows();
-        assert_eq!(out.len(), users.len() * n, "score_block buffer mismatch");
-        let packed = self
-            .movie_means_packed
-            .get_or_init(|| bpmf_linalg::PackedB::pack_transposed_from(&self.movie_means));
+    fn score_block_range(&self, users: &[u32], lo: usize, hi: usize, out: &mut [f64]) {
+        let packed = self.packed_movies().columns(lo, hi);
         bpmf_linalg::gemm_gathered_rows_packed(&self.user_means, users, packed, out);
         self.finish_scores(out);
     }
 
-    /// The sharded-serving scan: the same register-tiled GEMM as
-    /// [`PosteriorModel::score_block`], against a *range-packed* slice of
-    /// the item factors
-    /// ([`bpmf_linalg::PackedB::pack_transposed_range_from`]). With a
-    /// `GEMM_NC`-aligned `lo`, the packed slice is byte-identical to the
-    /// matching range of the full packed buffer, so every score here is
-    /// **bit-identical** to the corresponding column of the
-    /// full-catalogue block scan. The first range requested is cached for
-    /// the life of the model (a shard process serves exactly one range);
-    /// other ranges pack per call.
-    fn score_block_range(&self, users: &[u32], lo: usize, hi: usize, out: &mut [f64]) {
-        let n = self.movie_means.rows();
-        assert!(lo <= hi && hi <= n, "item range [{lo}, {hi}) out of 0..{n}");
-        let w = hi - lo;
-        assert_eq!(
-            out.len(),
-            users.len() * w,
-            "score_block_range buffer mismatch"
-        );
-        if w == 0 {
-            return;
-        }
-        let cached = self.movie_means_range_packed.get_or_init(|| {
-            let packed =
-                bpmf_linalg::PackedB::pack_transposed_range_from(&self.movie_means, lo, hi);
-            (lo, hi, packed)
-        });
-        if (cached.0, cached.1) == (lo, hi) {
-            bpmf_linalg::gemm_gathered_rows_packed(&self.user_means, users, &cached.2, out);
-        } else {
-            let packed =
-                bpmf_linalg::PackedB::pack_transposed_range_from(&self.movie_means, lo, hi);
-            bpmf_linalg::gemm_gathered_rows_packed(&self.user_means, users, &packed, out);
-        }
-        self.finish_scores(out);
-    }
-
-    /// [`PosteriorModel::uncertainty_all`] restricted to `[lo, hi)`: the
-    /// identical per-item arithmetic (and order), so a shard's stds are
-    /// bit-identical to the matching slice of the full scan.
+    /// Std-only scan over `[lo, hi)`: the same per-coordinate arithmetic
+    /// (and order) as [`PosteriorModel::predict_with_uncertainty`], minus
+    /// the per-item mean recomputation that call would throw away.
     fn uncertainty_range(&self, user: usize, lo: usize, hi: usize, stds: &mut [f64]) -> bool {
         let (Some(u2m), Some(v2m)) = (self.user_second.as_ref(), self.movie_second.as_ref()) else {
             return false;
         };
-        assert!(lo <= hi, "bad item range [{lo}, {hi})");
+        let n = self.movie_means.rows();
+        assert!(lo <= hi && hi <= n, "item range [{lo}, {hi}) out of 0..{n}");
         assert_eq!(stds.len(), hi - lo, "uncertainty_range buffer mismatch");
         let u = self.user_means.row(user);
         let u2 = u2m.row(user);
@@ -1031,8 +924,8 @@ impl Recommender for PosteriorModel {
 
     /// One [`crate::update::fold_in_mean`] kernel call against the
     /// posterior-mean item factors (noise-free, so bit-deterministic),
-    /// then the same transposed-factor scan as
-    /// [`PosteriorModel::score_all`] for the catalogue scores.
+    /// then the catalogue scores through the same one-row GEMM as
+    /// [`Recommender::score_all`].
     fn fold_in_user(&self, items: &[u32], ratings: &[f64]) -> Result<FoldIn, FoldInError> {
         let prior = self.fold_in.as_ref().ok_or(FoldInError::Unsupported)?;
         if items.len() != ratings.len() {
@@ -1068,10 +961,7 @@ impl Recommender for PosteriorModel {
             &mut factors,
         );
         let mut scores = vec![0.0; n];
-        let vt = self
-            .movie_means_t
-            .get_or_init(|| self.movie_means.transposed());
-        vt.matvec_t_into(&factors, &mut scores);
+        bpmf_linalg::gemm_packed_into(1, &factors, self.packed_movies().columns(0, n), &mut scores);
         self.finish_scores(&mut scores);
         Ok(FoldIn { factors, scores })
     }
@@ -1588,13 +1478,6 @@ impl Trainer for GibbsTrainer {
             .clone()
             .map(|m| m as Arc<dyn Recommender + Send + Sync>)
     }
-
-    #[allow(deprecated)]
-    fn shared_recommender(&self) -> Option<&(dyn Recommender + Sync)> {
-        self.model
-            .as_deref()
-            .map(|m| m as &(dyn Recommender + Sync))
-    }
 }
 
 #[cfg(test)]
@@ -2019,18 +1902,6 @@ mod tests {
             PosteriorModel::from_checkpoint(&ckpt, 0.0, None, 2.0),
             Err(BpmfError::CheckpointMismatch(_))
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shared_recommender_shim_still_serves() {
-        let trainer = fitted_trainer();
-        let shim = trainer.shared_recommender().expect("shim still works");
-        let via_handle = trainer.model_handle(1).unwrap();
-        assert_eq!(
-            shim.predict(0, 1).to_bits(),
-            via_handle.load().model().predict(0, 1).to_bits()
-        );
     }
 
     #[test]

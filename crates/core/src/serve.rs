@@ -6,18 +6,18 @@
 //! Netflix and books for Amazon" of the paper's introduction, engineered
 //! for the roadmap's heavy-traffic north star:
 //!
-//! * **batched scoring** — [`RecommendService::score_batch`] and the
-//!   whole-catalogue scan behind [`RecommendService::top_n`] go through
-//!   the blocked [`bpmf_linalg::Mat::matvec_into`] /
-//!   [`bpmf_linalg::Mat::gather_matvec_into`] kernels (one virtual call
-//!   per *request*, not per pair);
-//! * **multi-user micro-batching** — [`RecommendService::recommend_batch`]
-//!   serves a block of users through one `Recommender::score_block` call
-//!   per [`MICRO_BATCH`] users: factor models turn that into a single
-//!   register-tiled GEMM ([`bpmf_linalg::gemm_packed_into`]) against the
-//!   transposed item factors, packed once into the kernel's blocked
-//!   layout ([`bpmf_linalg::PackedB`]), so the catalogue is streamed once
-//!   per block instead of once per user — the difference between
+//! * **batched scoring** — [`RecommendService::score_batch`] goes
+//!   through the gathered [`bpmf_linalg::Mat::gather_matvec_into`] kernel
+//!   (one virtual call per *request*, not per pair);
+//! * **multi-user micro-batching** — every ranking entry point
+//!   ([`RecommendService::top_n`], [`RecommendService::recommend_batch`])
+//!   runs through [`RecommendService::recommend_each`], which scores one
+//!   `Recommender::score_block` call per [`MICRO_BATCH`] users: factor
+//!   models turn that into a single register-tiled GEMM
+//!   ([`bpmf_linalg::gemm_packed_into`]) against the transposed item
+//!   factors, packed once into the kernel's blocked layout
+//!   ([`bpmf_linalg::PackedB`]), so the catalogue is streamed once per
+//!   block instead of once per user — the difference between
 //!   compute-bound and memory-streaming once the factor panel falls out
 //!   of L2;
 //! * **candidate filtering** — exclude already-rated items straight from
@@ -65,8 +65,8 @@
 //!   [`Recommender::score_block`]) at the cost of at most that much
 //!   added latency under light load.
 //! * Each worker owns a [`RecommendService`] over the *shared* model, so
-//!   the transposed/packed factor caches (`OnceLock`) are built once per
-//!   process and shared by every worker, and each user's reply is routed
+//!   the packed factor cache (`OnceLock`) is built once per process and
+//!   shared by every worker, and each user's reply is routed
 //!   back to its originating connection through the per-connection
 //!   writer.
 //!
@@ -359,7 +359,7 @@ impl FromStr for RankPolicy {
 }
 
 /// Users scored per `Recommender::score_block` call inside
-/// [`RecommendService::recommend_batch`], derived from the GEMM kernel's
+/// [`RecommendService::recommend_each`], derived from the GEMM kernel's
 /// cache geometry rather than hand-picked: with the `KC × NC` B-panel
 /// pinned in L2 by the kernel, the rest of a nominal 1 MiB L2 budget is
 /// split between the user-factor panel (`B × KC` doubles) and the score
@@ -417,7 +417,7 @@ pub struct ServeRequest {
 /// min-support from the training matrix), chain the builder-style filters,
 /// then call [`RecommendService::top_n`] / [`RecommendService::score_batch`]
 /// per request. The service owns its score scratch, so repeated requests
-/// allocate nothing.
+/// reuse their score buffers.
 pub struct RecommendService<'a> {
     model: &'a dyn Recommender,
     n_items: usize,
@@ -436,7 +436,7 @@ pub struct RecommendService<'a> {
     scores: Vec<f64>,
     stds: Vec<f64>,
     /// Micro-batch scratch: up to [`MICRO_BATCH`] score rows, grown on the
-    /// first `recommend_batch` call and reused afterwards.
+    /// first ranking call and reused afterwards.
     block_scores: Vec<f64>,
 }
 
@@ -446,7 +446,7 @@ impl<'a> RecommendService<'a> {
     /// training matrix is at hand.
     pub fn new(model: &'a dyn Recommender, n_items: usize) -> Self {
         // Catch a catalogue mismatch here, at construction, rather than as
-        // a buffer-size panic inside `score_all` on the first request.
+        // a buffer-size panic inside the first scoring call.
         if let Some(model_items) = model.num_items() {
             assert_eq!(
                 model_items, n_items,
@@ -598,26 +598,18 @@ impl<'a> RecommendService<'a> {
     /// filters, sorted best-first (ties broken by ascending item id, so
     /// results are deterministic).
     ///
-    /// Candidates are scored in one whole-catalogue batch; the selection
-    /// keeps a bounded worst-out heap, so a top-10 over a million items
-    /// does no full sort.
+    /// One [`ServeRequest`] through [`RecommendService::recommend_each`];
+    /// the selection keeps a bounded worst-out heap, so a top-10 over a
+    /// million items does no full sort.
     pub fn top_n(&mut self, user: usize, n: usize) -> Vec<Recommendation> {
-        assert!(n > 0, "top-n needs n >= 1");
-        // The scratch is taken out for the duration of the scan so the
-        // selection pass can borrow the service mutably (policy RNG, std
-        // buffer) alongside the scores.
-        let mut scores = std::mem::take(&mut self.scores);
-        self.model.score_all(user, &mut scores);
-        let top = self.select_top_n(user, n, &scores);
-        self.scores = scores;
-        top
+        self.recommend_batch(&[user as u32], n).remove(0)
     }
 
     /// Serve a batch of heterogeneous requests — each with its own policy
     /// and exclude-seen choice — scoring [`MICRO_BATCH`] users per
-    /// `Recommender::score_block` call exactly like
-    /// [`RecommendService::recommend_batch`]. This is the execution path
-    /// of the serving daemon's coalesced batches.
+    /// `Recommender::score_block` call. This is the one selection path:
+    /// [`RecommendService::top_n`], [`RecommendService::recommend_batch`],
+    /// and the serving daemon's coalesced batches all run through it.
     ///
     /// Every request's result is exactly what a fresh service would
     /// return from a single [`RecommendService::top_n`] call — Thompson
@@ -639,67 +631,36 @@ impl<'a> RecommendService<'a> {
             for (i, req) in chunk.iter().enumerate() {
                 assert!(req.top_n > 0, "top-n needs n >= 1");
                 let row = &block[i * n_items..(i + 1) * n_items];
-                out.push(self.select_for(
-                    req.user as usize,
-                    req.top_n,
-                    row,
-                    req.policy,
-                    req.exclude_seen,
-                ));
+                out.push(self.select_for(req, row));
             }
         }
         self.block_scores = block;
         out
     }
 
-    /// Top-`n` lists for a **block** of users — the multi-user micro-batch
-    /// serving path of the roadmap's heavy-traffic north star.
-    ///
-    /// Users are scored [`MICRO_BATCH`] at a time through one
-    /// `Recommender::score_block` call per block (factor models: one
-    /// register-tiled GEMM streaming the catalogue once for the whole
-    /// block), then each user's list is selected under the same policy
-    /// and filters as [`RecommendService::top_n`]. Rankings match
-    /// per-user `top_n` calls up to floating-point rounding: the block
-    /// path scores
-    /// through the GEMM while `top_n` scores through the transposed scan,
-    /// which re-associate sums differently, so two candidates whose
-    /// scores agree to ~1e-13 relative could in principle swap ranks.
-    /// Results come back in `users` order.
+    /// Top-`n` lists for a **block** of users under the service-wide
+    /// policy and exclude-seen setting — the multi-user micro-batch serving
+    /// path: [`RecommendService::recommend_each`] over one
+    /// [`ServeRequest`] per user, so each list is exactly what
+    /// [`RecommendService::top_n`] returns for that user. Results come
+    /// back in `users` order.
     pub fn recommend_batch(&mut self, users: &[u32], n: usize) -> Vec<Vec<Recommendation>> {
-        assert!(n > 0, "top-n needs n >= 1");
-        let n_items = self.n_items;
-        let mut block = std::mem::take(&mut self.block_scores);
-        let mut out = Vec::with_capacity(users.len());
-        for chunk in users.chunks(MICRO_BATCH) {
-            block.resize(chunk.len() * n_items, 0.0);
-            self.model.score_block(chunk, &mut block);
-            for (i, &user) in chunk.iter().enumerate() {
-                let row = &block[i * n_items..(i + 1) * n_items];
-                out.push(self.select_top_n(user as usize, n, row));
-            }
-        }
-        self.block_scores = block;
-        out
+        let reqs: Vec<ServeRequest> = users
+            .iter()
+            .map(|&user| ServeRequest {
+                user,
+                top_n: n,
+                policy: self.policy,
+                exclude_seen: self.exclude_seen,
+            })
+            .collect();
+        self.recommend_each(&reqs)
     }
 
-    /// Policy scoring + filtering + bounded top-`n` selection over an
-    /// already-computed whole-catalogue score row, under the service-wide
-    /// policy and filters.
-    fn select_top_n(&mut self, user: usize, n: usize, scores: &[f64]) -> Vec<Recommendation> {
-        let (policy, exclude_seen) = (self.policy, self.exclude_seen);
-        self.select_for(user, n, scores, policy, exclude_seen)
-    }
-
-    /// Selection under explicit per-request policy and filters.
-    fn select_for(
-        &mut self,
-        user: usize,
-        n: usize,
-        scores: &[f64],
-        policy: RankPolicy,
-        exclude_seen: bool,
-    ) -> Vec<Recommendation> {
+    /// Policy scoring + filtering + bounded top-`n` selection over one
+    /// request's already-computed whole-catalogue score row.
+    fn select_for(&mut self, req: &ServeRequest, scores: &[f64]) -> Vec<Recommendation> {
+        let (user, n, policy) = (req.user as usize, req.top_n, req.policy);
         // Uncertainty-aware policies take one batched std scan up front
         // instead of a per-candidate `predict_with_uncertainty` round trip
         // (which would recompute every mean only to discard it).
@@ -709,7 +670,7 @@ impl<'a> RecommendService<'a> {
             self.stds.resize(self.n_items, 0.0);
             self.model.uncertainty_all(user, &mut self.stds)
         };
-        let seen: &[u32] = match (exclude_seen, self.train) {
+        let seen: &[u32] = match (req.exclude_seen, self.train) {
             (true, Some(train)) => train.row(user).0,
             _ => &[],
         };

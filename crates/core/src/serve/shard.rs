@@ -8,11 +8,11 @@
 //! item catalogue, chosen by [`shard_ranges`] so every boundary lands on
 //! a [`bpmf_linalg::GEMM_NC`] block boundary of the packed item factors
 //! ([`bpmf_linalg::PackedB`]). That alignment is what buys the tier its
-//! strongest property: a shard's packed slice is *byte-identical* to the
-//! matching range of the whole-catalogue packed buffer, so the GEMM
-//! micro-kernel performs bit-identical arithmetic per item and a sharded
-//! deployment returns exactly — bit for bit — what the single-process
-//! daemon returns. (Thompson draws stay shard-independent too: they are
+//! strongest property: a shard scores through a zero-copy
+//! [`bpmf_linalg::PackedB::columns`] view of the model's one packed
+//! buffer, so the GEMM micro-kernel performs bit-identical arithmetic per
+//! item and a sharded deployment returns exactly — bit for bit — what the
+//! single-process daemon returns. (Thompson draws stay shard-independent too: they are
 //! keyed per `(seed, global item)`, see [`crate::serve::thompson_draw`].)
 //!
 //! The pieces:
@@ -22,7 +22,7 @@
 //!   mixed-epoch deployments are detectable;
 //! * [`shard_ranges`] — the NC-aligned partition itself;
 //! * [`ShardView`] — a [`Recommender`] adaptor that scores one range of a
-//!   full model through the range-packed GEMM
+//!   full model through the model's range primitive
 //!   ([`Recommender::score_block_range`]);
 //! * [`slice_train_columns`] — the matching slice of the training matrix,
 //!   so exclude-seen filtering works shard-locally;
@@ -135,13 +135,14 @@ pub fn shard_ranges(n_items: usize, num_shards: usize) -> Vec<(usize, usize)> {
 /// version: a zero-downtime `reload` builds a fresh full model, wraps it
 /// in a new view for the same range, and publishes the pair atomically.
 ///
-/// All whole-catalogue entry points delegate to the wrapped model's range
-/// scans ([`Recommender::score_block_range`] /
-/// [`Recommender::uncertainty_range`]), so on factor models a shard's
-/// scores come out of the same range-packed GEMM the byte-identity gate
-/// pins down. Pair with
-/// [`crate::serve::RecommendService::item_base`]`(lo)` so replies carry
-/// global ids and Thompson draws key on them.
+/// The view implements only the two range primitives
+/// ([`Recommender::score_block_range`] /
+/// [`Recommender::uncertainty_range`]), offset into the wrapped model's;
+/// the whole-catalogue entry points are the trait's, over the view's own
+/// `[0, hi − lo)`. On factor models a shard's scores therefore come out
+/// of the same GEMM over the same packed buffer as the full model's. Pair
+/// with [`crate::serve::RecommendService::item_base`]`(lo)` so replies
+/// carry global ids and Thompson draws key on them.
 pub struct ShardView {
     inner: std::sync::Arc<dyn Recommender + Send + Sync>,
     lo: usize,
@@ -192,26 +193,10 @@ impl Recommender for ShardView {
         Some(self.hi - self.lo)
     }
 
-    /// One user through the same range-packed GEMM as the block path —
-    /// *not* the transposed scan `score_all` normally uses — so every
-    /// serving entry point on a shard produces the identical bits.
-    fn score_all(&self, user: usize, scores: &mut [f64]) {
-        self.inner
-            .score_block_range(&[user as u32], self.lo, self.hi, scores);
-    }
-
-    fn score_block(&self, users: &[u32], out: &mut [f64]) {
-        self.inner.score_block_range(users, self.lo, self.hi, out);
-    }
-
     fn score_block_range(&self, users: &[u32], lo: usize, hi: usize, out: &mut [f64]) {
         assert!(lo <= hi && self.lo + hi <= self.hi, "range out of shard");
         self.inner
             .score_block_range(users, self.lo + lo, self.lo + hi, out);
-    }
-
-    fn uncertainty_all(&self, user: usize, stds: &mut [f64]) -> bool {
-        self.inner.uncertainty_range(user, self.lo, self.hi, stds)
     }
 
     fn uncertainty_range(&self, user: usize, lo: usize, hi: usize, stds: &mut [f64]) -> bool {

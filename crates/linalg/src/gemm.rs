@@ -1,13 +1,12 @@
-//! Blocked, register-tiled GEMM: the micro-batch serving engine.
+//! Blocked, register-tiled GEMM: the serving engine.
 //!
 //! `gemm_into` computes `C = A · B` for row-major operands — `A` is
 //! `m × k` (a gathered block of user factor rows), `B` is `k × n` (the
 //! transposed item factors, cached once per model), `C` is `m × n` (one
-//! score row per user). This is the kernel behind
-//! `Recommender::score_block`: a block of users pays **one** streaming
-//! pass over the catalogue instead of `m` per-user scans, which is what
-//! the per-user `matvec_t_into` path degrades into once the factor panel
-//! falls out of L2.
+//! score row per user). This is the kernel behind every factor model's
+//! `Recommender::score_block_range`, for one user or a micro-batch: a
+//! block of users pays **one** streaming pass over the catalogue instead
+//! of `m` per-user passes.
 //!
 //! # Kernel shape and why
 //!
@@ -40,6 +39,8 @@
 //! instead of striding `8·n` bytes per `k`-step; serving callers pack the
 //! item factors once ([`PackedB`], `OnceLock`-cached per model) and every
 //! call after that is pure micro-kernel time via [`gemm_packed_into`].
+//! A catalogue range is a zero-copy [`PackedB::columns`] view of that
+//! one pack, never a second packed copy.
 //!
 //! Output **column panels** (aligned to [`GEMM_NC`], so a chunk is at
 //! least one 2 KiB column block and packed slabs never straddle chunks)
@@ -103,8 +104,8 @@ pub const GEMM_PAR_FLOPS: usize = 1 << 21;
 /// row-major. The micro-kernel's `B` loads then walk one linear buffer —
 /// L1/TLB-friendly — instead of striding `8·n` bytes between `k`-steps,
 /// and serving skips the per-call packing pass entirely: a model packs
-/// its (transposed) item factors once (`OnceLock`) and every
-/// `score_block` after that is pure micro-kernel time.
+/// its (transposed) item factors once (`OnceLock`) and every scoring
+/// call after that is pure micro-kernel time.
 #[derive(Clone, Debug)]
 pub struct PackedB {
     data: Vec<f64>,
@@ -145,33 +146,6 @@ impl PackedB {
         PackedB { data, k, n }
     }
 
-    /// Pack `vᵀ` for the contiguous column range `[lo, hi)` of a
-    /// row-major `n × k` factor matrix — the sharded-serving path. `lo`
-    /// must sit on a [`GEMM_NC`] block boundary; the resulting buffer is
-    /// then exactly the `[k·lo, k·hi)` slice of the full
-    /// [`PackedB::pack_transposed_from`] buffer, so every column block is
-    /// tiled into the same panels with the same ragged edges and the
-    /// micro-kernel arithmetic per column is **bit-identical** to the
-    /// full-catalogue pack — the property the sharded serving tier's
-    /// byte-identity gate rests on.
-    pub fn pack_transposed_range_from(v: &crate::mat::Mat, lo: usize, hi: usize) -> PackedB {
-        let (n, k) = (v.rows(), v.cols());
-        assert!(lo <= hi && hi <= n, "pack range [{lo}, {hi}) out of 0..{n}");
-        assert_eq!(lo % GEMM_NC, 0, "range start must be GEMM_NC-aligned");
-        let vs = v.as_slice();
-        let w = hi - lo;
-        let mut data = Vec::with_capacity(k * w);
-        for jb in (lo..hi).step_by(GEMM_NC) {
-            let jb1 = (jb + GEMM_NC).min(hi);
-            for kb in KBlocks::new(k) {
-                for l in kb.k0..kb.k0 + kb.kc {
-                    data.extend((jb..jb1).map(|j| vs[j * k + l]));
-                }
-            }
-        }
-        PackedB { data, k, n: w }
-    }
-
     /// Inner (reduction) dimension `k`.
     pub fn k(&self) -> usize {
         self.k
@@ -182,9 +156,46 @@ impl PackedB {
         self.n
     }
 
+    /// Zero-copy view of columns `[lo, hi)` — how a served model scores a
+    /// catalogue range without a second packed copy. Column blocks are
+    /// stored one after another, so an aligned range is exactly the
+    /// `[k·lo, k·hi)` slice of the buffer: every column is tiled into the
+    /// same panels with the same ragged edges, and the GEMM's arithmetic
+    /// per column is **bit-identical** to scoring the whole pack — the
+    /// property the sharded serving tier's byte-identity gate rests on.
+    ///
+    /// # Panics
+    ///
+    /// Unless `lo ≤ hi ≤ n` and both ends sit on a [`GEMM_NC`] boundary or
+    /// at `n` — true of every range `serve::shard::shard_ranges` produces.
+    pub fn columns(&self, lo: usize, hi: usize) -> PackedCols<'_> {
+        let n = self.n;
+        let aligned = |j: usize| j.is_multiple_of(GEMM_NC) || j == n;
+        assert!(
+            lo <= hi && hi <= n && aligned(lo) && aligned(hi),
+            "columns [{lo}, {hi}) of 0..{n} are not GEMM_NC-aligned"
+        );
+        PackedCols {
+            data: &self.data[self.k * lo..self.k * hi],
+            k: self.k,
+            n: hi - lo,
+        }
+    }
+}
+
+/// A [`GEMM_NC`]-aligned column range of a [`PackedB`], borrowed from it
+/// by [`PackedB::columns`]; the `B` operand of [`gemm_packed_into`].
+#[derive(Clone, Copy, Debug)]
+pub struct PackedCols<'a> {
+    data: &'a [f64],
+    k: usize,
+    n: usize,
+}
+
+impl<'a> PackedCols<'a> {
     /// The packed `kc × w` slab of column block `[jb, jb + w)` × k-block
     /// starting at `k0`. `jb` must be a multiple of [`GEMM_NC`].
-    fn slab(&self, jb: usize, w: usize, k0: usize, kc: usize) -> &[f64] {
+    fn slab(&self, jb: usize, w: usize, k0: usize, kc: usize) -> &'a [f64] {
         let off = self.k * jb + k0 * w;
         &self.data[off..off + kc * w]
     }
@@ -195,7 +206,7 @@ impl PackedB {
 #[derive(Clone, Copy)]
 enum BSource<'a> {
     Unpacked(&'a [f64]),
-    Packed(&'a PackedB),
+    Packed(PackedCols<'a>),
 }
 
 /// `c = a · b` for row-major `a` (`m × k`), `b` (`k × n`), `c` (`m × n`).
@@ -214,27 +225,28 @@ pub fn gemm_into(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f6
     gemm_dispatch(m, n, k, a, BSource::Unpacked(b), c);
 }
 
-/// [`gemm_into`] against a pre-packed `B` — the serving fast path: no
-/// per-call packing, and the micro-kernel streams the cache-blocked
-/// layout directly.
-pub fn gemm_packed_into(m: usize, a: &[f64], b: &PackedB, c: &mut [f64]) {
+/// [`gemm_into`] against a pre-packed `B` (or a column range of one) —
+/// the serving fast path: no per-call packing, and the micro-kernel
+/// streams the cache-blocked layout directly.
+pub fn gemm_packed_into(m: usize, a: &[f64], b: PackedCols<'_>, c: &mut [f64]) {
     gemm_dispatch(m, b.n, b.k, a, BSource::Packed(b), c);
 }
 
-/// The `score_block` core shared by the serving models: gather `users`
-/// rows of `user_mat` (`M × K`) into a contiguous `B × K` block — the
-/// GEMM's `A` operand, `B·K` doubles, tiny next to the `B·N` output —
-/// and multiply against the packed item factors. `out[i·N .. (i+1)·N]`
-/// receives user `users[i]`'s raw catalogue dot products; model-specific
-/// epilogues (global mean, biases, clamping) stay with the caller.
+/// The scoring core shared by the serving models: gather `users` rows of
+/// `user_mat` (`M × K`) into a contiguous `B × K` block — the GEMM's `A`
+/// operand, `B·K` doubles, tiny next to the `B·W` output — and multiply
+/// against a column range of the packed item factors. `out[i·W ..
+/// (i+1)·W]` receives user `users[i]`'s raw dot products over the `W`
+/// columns; model-specific epilogues (global mean, biases, clamping) stay
+/// with the caller.
 pub fn gemm_gathered_rows_packed(
     user_mat: &crate::mat::Mat,
     users: &[u32],
-    packed: &PackedB,
+    packed: PackedCols<'_>,
     out: &mut [f64],
 ) {
     let k = user_mat.cols();
-    assert_eq!(k, packed.k(), "gathered-rows factor dimension mismatch");
+    assert_eq!(k, packed.k, "gathered-rows factor dimension mismatch");
     let mut block = vec![0.0; users.len() * k];
     for (i, &u) in users.iter().enumerate() {
         block[i * k..(i + 1) * k].copy_from_slice(user_mat.row(u as usize));
@@ -810,39 +822,29 @@ mod tests {
             let pb = PackedB::pack(k, n, &b);
             assert_eq!((pb.k(), pb.n()), (k, n));
             let mut got = vec![f64::NAN; m * n];
-            gemm_packed_into(m, &a, &pb, &mut got);
+            gemm_packed_into(m, &a, pb.columns(0, n), &mut got);
             assert_eq!(got, want, "m={m} n={n} k={k}: packed != unpacked");
             // Packing straight from the n × k factor layout must agree.
             let v = crate::mat::Mat::from_fn(n, k, |j, l| b[l * n + j]);
             let pb_t = PackedB::pack_transposed_from(&v);
             let mut got_t = vec![f64::NAN; m * n];
-            gemm_packed_into(m, &a, &pb_t, &mut got_t);
+            gemm_packed_into(m, &a, pb_t.columns(0, n), &mut got_t);
             assert_eq!(got_t, want, "m={m} n={n} k={k}: transposed pack");
         }
     }
 
     #[test]
-    fn range_pack_is_a_slice_of_the_full_pack() {
-        // Catalogue spanning several NC blocks with a ragged tail.
-        let (n, k) = (3 * GEMM_NC + 77, 9);
-        let v = crate::mat::Mat::from_fn(n, k, |j, l| (j * k + l) as f64 * 0.5 - 3.0);
-        let full = PackedB::pack_transposed_from(&v);
-        for (lo, hi) in [
-            (0, n),
-            (0, GEMM_NC),
-            (GEMM_NC, 3 * GEMM_NC),
-            (2 * GEMM_NC, n),
-            (3 * GEMM_NC, n),   // ragged final block
-            (GEMM_NC, GEMM_NC), // empty shard
-        ] {
-            let part = PackedB::pack_transposed_range_from(&v, lo, hi);
-            assert_eq!((part.k(), part.n()), (k, hi - lo));
-            assert_eq!(
-                part.data,
-                full.data[k * lo..k * hi],
-                "[{lo}, {hi}) is not the matching byte range of the full pack"
-            );
-        }
+    #[should_panic(expected = "not GEMM_NC-aligned")]
+    fn columns_refuse_an_unaligned_start() {
+        let v = crate::mat::Mat::zeros(3 * GEMM_NC, 2);
+        PackedB::pack_transposed_from(&v).columns(1, GEMM_NC);
+    }
+
+    #[test]
+    #[should_panic(expected = "not GEMM_NC-aligned")]
+    fn columns_refuse_a_ragged_end_before_the_catalogue_end() {
+        let v = crate::mat::Mat::zeros(3 * GEMM_NC, 2);
+        PackedB::pack_transposed_from(&v).columns(0, GEMM_NC + 1);
     }
 
     #[test]
@@ -855,12 +857,18 @@ mod tests {
         let v = crate::mat::Mat::from_fn(n, k, |j, l| fill(1, (j * k + l) as u64)[0]);
         let full = PackedB::pack_transposed_from(&v);
         let mut want = vec![f64::NAN; m * n];
-        gemm_packed_into(m, &a, &full, &mut want);
-        for (lo, hi) in [(0usize, GEMM_NC), (GEMM_NC, 2 * GEMM_NC), (2 * GEMM_NC, n)] {
-            let part = PackedB::pack_transposed_range_from(&v, lo, hi);
+        gemm_packed_into(m, &a, full.columns(0, n), &mut want);
+        for (lo, hi) in [
+            (0usize, GEMM_NC),
+            (GEMM_NC, 2 * GEMM_NC),
+            (2 * GEMM_NC, n), // ragged final block
+            (GEMM_NC, n),
+            (GEMM_NC, GEMM_NC), // empty shard
+            (n, n),
+        ] {
             let w = hi - lo;
             let mut got = vec![f64::NAN; m * w];
-            gemm_packed_into(m, &a, &part, &mut got);
+            gemm_packed_into(m, &a, full.columns(lo, hi), &mut got);
             for i in 0..m {
                 for j in 0..w {
                     assert_eq!(

@@ -18,11 +18,12 @@
 //!   gathered `d × K` panel of counterpart rows into the item precision and
 //!   information vector as one rank-d update (the mid/heavy item hot path),
 //! * a register-tiled, cache-blocked GEMM ([`gemm_into`], module
-//!   [`gemm`]) — the multi-user micro-batch serving engine behind
-//!   `Recommender::score_block`,
+//!   [`gemm`]) over one packed item-factor layout ([`PackedB`], ranges
+//!   viewed in place by [`PackedB::columns`]) — the serving engine behind
+//!   `Recommender::score_block_range`,
 //! * one shared runtime SIMD dispatch layer ([`simd`]): every explicitly
-//!   vectorized kernel (GEMM, the panel kernels, `Mat::matvec_t_into`)
-//!   gates its AVX2+FMA arm on [`simd::simd_enabled`], and
+//!   vectorized kernel (GEMM, the panel kernels) gates its AVX2+FMA arm
+//!   on [`simd::simd_enabled`], and
 //!   `BPMF_NO_SIMD=1` forces the scalar arms process-wide,
 //! * a persistent fork-join pool ([`kernel_pool`]) for intra-item
 //!   parallelism without per-item thread spawns,
@@ -69,8 +70,8 @@ pub use chol_par::{cholesky_in_place_parallel, DEFAULT_BLOCK};
 pub use cholupdate::{chol_downdate, chol_update};
 pub use error::LinalgError;
 pub use gemm::{
-    gemm_gathered_rows_packed, gemm_into, gemm_into_scalar, gemm_packed_into, PackedB, GEMM_KC,
-    GEMM_NC,
+    gemm_gathered_rows_packed, gemm_into, gemm_into_scalar, gemm_packed_into, PackedB, PackedCols,
+    GEMM_KC, GEMM_NC,
 };
 pub use mat::Mat;
 pub use matwriter::MatWriter;

@@ -209,132 +209,6 @@ impl Mat {
         }
     }
 
-    /// Transposed copy (`cols × rows`).
-    pub fn transposed(&self) -> Mat {
-        Mat::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
-    /// Matrix-vector product *through the transposed layout*: `self` is
-    /// `k × n` and `y[i] = Σ_j x[j] · self[(j, i)]`, i.e. `y = selfᵀ · x`.
-    ///
-    /// The serving-scan kernel: with the factor matrix stored transposed,
-    /// every inner update `y[i] += x_j · row_j[i]` is an independent lane
-    /// — no floating-point reduction — so it vectorizes without
-    /// reassociation. Eight rows are fused per pass so `y` is read+written
-    /// once per eight coefficients instead of once per one; on x86-64 with
-    /// AVX2+FMA an explicit 4-lane FMA kernel takes over (gated on the
-    /// shared [`crate::simd::simd_enabled`] dispatch, so `BPMF_NO_SIMD=1`
-    /// pins the portable arm).
-    pub fn matvec_t_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
-        assert_eq!(y.len(), self.cols, "matvec_t output mismatch");
-        y.fill(0.0);
-        if self.cols == 0 {
-            return;
-        }
-        if crate::simd::simd_enabled() {
-            #[cfg(target_arch = "x86_64")]
-            {
-                // SAFETY: `simd_enabled` guarantees AVX2+FMA.
-                unsafe { self.matvec_t_into_avx2(x, y) };
-                return;
-            }
-        }
-        self.matvec_t_into_scalar(x, y);
-    }
-
-    /// Portable eight-row fused scan (lane-parallel, auto-vectorizable).
-    fn matvec_t_into_scalar(&self, x: &[f64], y: &mut [f64]) {
-        let c = self.cols;
-        let mut octs = self.data.chunks_exact(8 * c);
-        let mut coefs = x.chunks_exact(8);
-        for (oct, xo) in octs.by_ref().zip(coefs.by_ref()) {
-            let (r0, rest) = oct.split_at(c);
-            let (r1, rest) = rest.split_at(c);
-            let (r2, rest) = rest.split_at(c);
-            let (r3, rest) = rest.split_at(c);
-            let (r4, rest) = rest.split_at(c);
-            let (r5, rest) = rest.split_at(c);
-            let (r6, r7) = rest.split_at(c);
-            for (i, yi) in y.iter_mut().enumerate() {
-                *yi += xo[0] * r0[i]
-                    + xo[1] * r1[i]
-                    + xo[2] * r2[i]
-                    + xo[3] * r3[i]
-                    + xo[4] * r4[i]
-                    + xo[5] * r5[i]
-                    + xo[6] * r6[i]
-                    + xo[7] * r7[i];
-            }
-        }
-        for (&xj, row) in coefs
-            .remainder()
-            .iter()
-            .zip(octs.remainder().chunks_exact(c))
-        {
-            vecops::axpy(xj, row, y);
-        }
-    }
-
-    /// AVX2+FMA scan: eight broadcast coefficients folded into `y` in
-    /// 32-element blocks (8 × 4-lane accumulators — enough independent FMA
-    /// chains to cover the FMA latency on both ports).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn matvec_t_into_avx2(&self, x: &[f64], y: &mut [f64]) {
-        use std::arch::x86_64::*;
-        let c = self.cols;
-        let mut octs = self.data.chunks_exact(8 * c);
-        let mut coefs = x.chunks_exact(8);
-        for (oct, xo) in octs.by_ref().zip(coefs.by_ref()) {
-            let base = oct.as_ptr();
-            let xv: [__m256d; 8] = std::array::from_fn(|r| _mm256_set1_pd(xo[r]));
-            let yp = y.as_mut_ptr();
-            let mut i = 0usize;
-            while i + 32 <= c {
-                let mut acc: [__m256d; 8] =
-                    std::array::from_fn(|l| _mm256_loadu_pd(yp.add(i + 4 * l)));
-                for (r, xr) in xv.iter().enumerate() {
-                    let rp = base.add(r * c + i);
-                    for (l, a) in acc.iter_mut().enumerate() {
-                        *a = _mm256_fmadd_pd(*xr, _mm256_loadu_pd(rp.add(4 * l)), *a);
-                    }
-                }
-                for (l, a) in acc.iter().enumerate() {
-                    _mm256_storeu_pd(yp.add(i + 4 * l), *a);
-                }
-                i += 32;
-            }
-            while i + 4 <= c {
-                let mut a = _mm256_loadu_pd(yp.add(i));
-                for (r, xr) in xv.iter().enumerate() {
-                    a = _mm256_fmadd_pd(*xr, _mm256_loadu_pd(base.add(r * c + i)), a);
-                }
-                _mm256_storeu_pd(yp.add(i), a);
-                i += 4;
-            }
-            while i < c {
-                let mut s = *y.get_unchecked(i);
-                for (r, &xr) in xo.iter().enumerate() {
-                    s += xr * *base.add(r * c + i);
-                }
-                *y.get_unchecked_mut(i) = s;
-                i += 1;
-            }
-        }
-        for (&xj, row) in coefs
-            .remainder()
-            .iter()
-            .zip(octs.remainder().chunks_exact(c))
-        {
-            vecops::axpy(xj, row, y);
-        }
-    }
-
     /// Gathered matrix-vector product: `y[i] = row(rows_idx[i]) · x`.
     ///
     /// The batched-scoring kernel behind `Recommender::score_batch`: four

@@ -401,9 +401,8 @@ fn gemv_t_scalar(y: &mut [f64], panel: &[f64], w: &[f64]) {
 }
 
 /// AVX2+FMA arm: eight broadcast weights folded into `y` in 32-element
-/// blocks (8 × 4-lane accumulators — the same discipline as
-/// `Mat::matvec_t_into`'s serving scan, reused here for the Gibbs
-/// information-vector accumulation).
+/// blocks (8 × 4-lane accumulators — enough independent FMA chains to
+/// cover the FMA latency on both ports).
 ///
 /// # Safety
 ///

@@ -1,10 +1,9 @@
 //! Runtime SIMD dispatch shared by every explicitly vectorized kernel.
 //!
-//! The crate's hand-written AVX2+FMA kernels ([`crate::gemm`], the panel
-//! kernels [`crate::syrk_ld_lower`]/[`crate::gemv_t_acc`], and
-//! [`crate::Mat::matvec_t_into`]) all gate on one predicate instead of
-//! re-detecting features at every call site. The decision is made once per
-//! process and cached:
+//! The crate's hand-written AVX2+FMA kernels ([`crate::gemm`] and the
+//! panel kernels [`crate::syrk_ld_lower`]/[`crate::gemv_t_acc`]) all gate
+//! on one predicate instead of re-detecting features at every call site.
+//! The decision is made once per process and cached:
 //!
 //! * on `x86_64`, the CPU must report **both** AVX2 and FMA (the kernels
 //!   use fused multiply-adds on 4-lane `f64` vectors);

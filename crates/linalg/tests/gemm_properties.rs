@@ -51,7 +51,7 @@ proptest! {
         gemm_into_scalar(m, n, k, &a, &b, &mut scalar);
         let packed = PackedB::pack(k, n, &b);
         let mut via_packed = vec![f64::NAN; m * n];
-        gemm_packed_into(m, &a, &packed, &mut via_packed);
+        gemm_packed_into(m, &a, packed.columns(0, n), &mut via_packed);
         for (idx, &w) in want.iter().enumerate() {
             prop_assert!(
                 (dispatched[idx] - w).abs() < 1e-12,
@@ -84,7 +84,7 @@ fn kc_boundary_reload_path_matches_naive() {
     gemm_into_scalar(m, n, k, &a, &b, &mut scalar);
     let packed = PackedB::pack(k, n, &b);
     let mut via_packed = vec![f64::NAN; m * n];
-    gemm_packed_into(m, &a, &packed, &mut via_packed);
+    gemm_packed_into(m, &a, packed.columns(0, n), &mut via_packed);
     for (idx, &w) in want.iter().enumerate() {
         // k = 300 sums of O(1) terms: 1e-12 absolute still holds easily.
         assert!((dispatched[idx] - w).abs() < 1e-12, "dispatched idx={idx}");

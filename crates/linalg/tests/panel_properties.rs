@@ -117,22 +117,6 @@ proptest! {
     }
 
     #[test]
-    fn transposed_matvec_matches_per_row((k, panel, w) in panel_case()) {
-        // The lane-parallel serving scan (`transposed` + `matvec_t_into`)
-        // against the one-dot-per-row reference, over non-multiple-of-4
-        // inner dimensions (k) and arbitrary row counts.
-        let d = w.len();
-        let m = Mat::from_row_major(d, k, panel);
-        let x: Vec<f64> = (0..k).map(|i| (i as f64 * 0.9).cos()).collect();
-        let mut scanned = vec![0.0; d];
-        m.transposed().matvec_t_into(&x, &mut scanned);
-        for (i, yi) in scanned.iter().enumerate() {
-            let naive = vecops::dot(m.row(i), &x);
-            prop_assert!((yi - naive).abs() < 1e-12, "row {i}: {yi} vs {naive}");
-        }
-    }
-
-    #[test]
     fn gathered_matvec_matches_per_row((k, panel, w) in panel_case()) {
         // `gather_matvec_into` over an arbitrary (duplicating, reversed)
         // index set against per-row dots, including remainder lanes.

@@ -17,6 +17,7 @@ use bpmf::{BpmfError, MappedSlab};
 use bpmf_linalg::Mat;
 use bpmf_sparse::{slab_extents, write_slab, Coo, Csr, SlabView};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A small but non-trivial slab: several extents, odd `col_idx` counts
 /// (so the u32 sections carry alignment padding), nonzero everywhere.
@@ -69,11 +70,15 @@ fn checkpoint_fixture() -> SamplerCheckpoint {
 }
 
 /// Checkpoint fixture as the exact bytes `write_checkpoint_sync` puts on
-/// disk (integrity header + JSON payload).
+/// disk (integrity header + JSON payload). Every call writes its own file:
+/// the writer stages through a fixed `<path>.tmp` sibling, so two test
+/// threads sharing one path would race on its `rename`.
 fn checkpoint_bytes() -> Vec<u8> {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     let path = std::env::temp_dir().join(format!(
-        "bpmf-integrity-fixture-{}.json",
-        std::process::id()
+        "bpmf-integrity-fixture-{}-{}.json",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
     ));
     write_checkpoint_sync(&path, &checkpoint_fixture()).expect("write fixture checkpoint");
     let bytes = std::fs::read(&path).expect("read fixture back");

@@ -187,9 +187,8 @@ fn thompson_top_n_matches_a_per_item_draw_reference() {
         items(&got),
         scored.iter().map(|(m, _)| *m).collect::<Vec<_>>()
     );
-    // The service's means come from the blocked matvec kernel (different
-    // summation order than per-pair `predict`), so draws agree to rounding
-    // — not bitwise.
+    // The service's means come from the GEMM (different summation order
+    // than per-pair `predict`), so draws agree to rounding — not bitwise.
     for (g, (_, s)) in got.iter().zip(&scored) {
         assert!(
             (g.score - s).abs() < 1e-9,
@@ -266,8 +265,9 @@ fn score_block_matches_per_user_score_all_for_every_algorithm() {
         for (i, &u) in users.iter().enumerate() {
             model.score_all(u as usize, &mut row);
             for (m, (a, b)) in block[i * n..(i + 1) * n].iter().zip(&row).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-12,
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
                     "{algorithm} user {u} item {m}: block {a} vs score_all {b}"
                 );
             }
@@ -315,11 +315,10 @@ fn recommend_batch_matches_per_user_top_n_for_every_policy() {
                 items(&direct),
                 "policy {policy:?}, user {u}: batch and per-user rankings differ"
             );
-            // Scores agree to rounding (the block path scores through the
-            // GEMM, the per-user path through the transposed scan).
             for (a, b) in list.iter().zip(&direct) {
-                assert!(
-                    (a.score - b.score).abs() < 1e-9,
+                assert_eq!(
+                    a.score.to_bits(),
+                    b.score.to_bits(),
                     "policy {policy:?} user {u}: {} vs {}",
                     a.score,
                     b.score

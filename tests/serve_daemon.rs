@@ -193,12 +193,10 @@ fn concurrent_clients_match_offline_top_n_for_every_policy() {
                 got, want,
                 "user {user}, policy {name}, exclude_seen {exclude}"
             );
-            // The daemon scores through the block GEMM, the offline
-            // reference through the transposed scan: same sums, different
-            // association order, so compare scores to fp tolerance.
             for (g, w) in resp.items.iter().zip(offline) {
-                assert!(
-                    (g.score - w.score).abs() <= 1e-9,
+                assert_eq!(
+                    g.score.to_bits(),
+                    w.score.to_bits(),
                     "user {user} policy {name}: {} vs {}",
                     g.score,
                     w.score

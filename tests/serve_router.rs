@@ -23,6 +23,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bpmf::serve::coalesce::CoalesceConfig;
@@ -31,7 +32,8 @@ use bpmf::serve::faults::FaultPlan;
 use bpmf::serve::router::{self, RouterConfig, RouterReport};
 use bpmf::serve::shard::{merge_top_n, shard_ranges, slice_train_columns, ShardSpec, ShardView};
 use bpmf::serve::{wire, RankPolicy, RecommendService, ServeRequest};
-use bpmf::PosteriorModel;
+use bpmf::{PosteriorModel, Recommender};
+use bpmf_baselines::MfModel;
 use bpmf_linalg::{Mat, GEMM_NC};
 use bpmf_sparse::{Coo, Csr};
 use bpmf_stats::{normal, Xoshiro256pp};
@@ -264,50 +266,72 @@ fn wait_ready(router: SocketAddr) {
 
 #[test]
 fn sharded_scoring_merges_to_the_full_ranking_bit_for_bit() {
-    let (model, train) = world_fixture();
+    type SharedModel = Arc<dyn Recommender + Send + Sync>;
+    let (posterior, train) = world_fixture();
+    let mut als = MfModel::new(
+        posterior.user_means().clone(),
+        posterior.movie_means().clone(),
+        3.5,
+    );
+    als.clip = Some((0.5, 5.0));
+    let shared_posterior: SharedModel = Arc::new(posterior.clone());
+    let shared_als: SharedModel = Arc::new(als);
+    // How each shard view gets its model: a copy of its own, or one `Arc`
+    // shared by every view (as `with_replicated_cluster` and a process
+    // hosting several shards do), whose one packed buffer then serves
+    // every range.
+    let worlds: [(&str, &dyn Fn() -> SharedModel); 3] = [
+        ("posterior, own copies", &|| Arc::new(posterior.clone())),
+        ("posterior, shared", &|| Arc::clone(&shared_posterior)),
+        ("als, shared", &|| Arc::clone(&shared_als)),
+    ];
     let top_n = 9;
-    for (_, policy) in POLICIES {
-        for user in [0u32, 7, 31] {
-            for exclude_seen in [false, true] {
-                let req = ServeRequest {
-                    user,
-                    top_n,
-                    policy,
-                    exclude_seen,
-                };
-                // Reference: the full catalogue through the same block-GEMM
-                // path the daemon uses.
-                let mut full = RecommendService::new(&model, N_ITEMS).exclude_seen(&train);
-                let want = full.recommend_each(std::slice::from_ref(&req)).remove(0);
-                // 6 shards leaves two empty surplus shards past the 4 NC
-                // blocks; the merge must shrug them off.
-                for num_shards in [1usize, 2, 3, 4, 6] {
-                    let mut parts: Vec<Vec<wire::RankedItem>> = Vec::new();
-                    for (lo, hi) in shard_ranges(N_ITEMS, num_shards) {
-                        let view = ShardView::new(std::sync::Arc::new(model.clone()), lo, hi);
-                        let local = slice_train_columns(&train, lo, hi);
-                        let mut svc = RecommendService::new(&view, hi - lo)
-                            .exclude_seen(&local)
-                            .item_base(lo as u32);
-                        parts.push(
-                            svc.recommend_each(std::slice::from_ref(&req))
-                                .remove(0)
-                                .into_iter()
-                                .map(wire::RankedItem::from)
-                                .collect(),
-                        );
-                    }
-                    let got = merge_top_n(&parts, top_n);
-                    assert_eq!(got.len(), want.len(), "{num_shards} shards, {req:?}");
-                    for (g, w) in got.iter().zip(&want) {
-                        assert_eq!(g.item, w.item, "{num_shards} shards, {req:?}");
-                        assert_eq!(
-                            g.score.to_bits(),
-                            w.score.to_bits(),
-                            "{num_shards} shards, {req:?}: {} vs {}",
-                            g.score,
-                            w.score
-                        );
+    for (world, model_for) in worlds {
+        let model = model_for();
+        for (_, policy) in POLICIES {
+            for user in [0u32, 7, 31] {
+                for exclude_seen in [false, true] {
+                    let req = ServeRequest {
+                        user,
+                        top_n,
+                        policy,
+                        exclude_seen,
+                    };
+                    // Reference: the full catalogue through the same
+                    // block-GEMM path the daemon uses.
+                    let mut full = RecommendService::new(&*model, N_ITEMS).exclude_seen(&train);
+                    let want = full.recommend_each(std::slice::from_ref(&req)).remove(0);
+                    // 6 shards leaves two empty surplus shards past the 4
+                    // NC blocks; the merge must shrug them off.
+                    for num_shards in [1usize, 2, 3, 4, 6] {
+                        let mut parts: Vec<Vec<wire::RankedItem>> = Vec::new();
+                        for (lo, hi) in shard_ranges(N_ITEMS, num_shards) {
+                            let view = ShardView::new(model_for(), lo, hi);
+                            let local = slice_train_columns(&train, lo, hi);
+                            let mut svc = RecommendService::new(&view, hi - lo)
+                                .exclude_seen(&local)
+                                .item_base(lo as u32);
+                            parts.push(
+                                svc.recommend_each(std::slice::from_ref(&req))
+                                    .remove(0)
+                                    .into_iter()
+                                    .map(wire::RankedItem::from)
+                                    .collect(),
+                            );
+                        }
+                        let got = merge_top_n(&parts, top_n);
+                        let at = format!("{world}, {num_shards} shards, {req:?}");
+                        assert_eq!(got.len(), want.len(), "{at}");
+                        for (g, w) in got.iter().zip(&want) {
+                            assert_eq!(g.item, w.item, "{at}");
+                            assert_eq!(
+                                g.score.to_bits(),
+                                w.score.to_bits(),
+                                "{at}: {} vs {}",
+                                g.score,
+                                w.score
+                            );
+                        }
                     }
                 }
             }
